@@ -61,16 +61,20 @@ void BM_Nnls(benchmark::State& state) {
 }
 BENCHMARK(BM_Nnls)->Arg(8)->Arg(22);
 
-void BM_ActivityOperatorBuild(benchmark::State& state) {
+void BM_IcOperatorPriorBin(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   stats::Rng rng(5);
-  linalg::Vector pref(n);
+  linalg::Vector pref(n), in(n), eg(n), bin(n * n);
   for (double& p : pref) p = rng.uniform(0.1, 1.0);
+  for (double& x : in) x = rng.uniform(1e6, 1e7);
+  for (double& x : eg) x = rng.uniform(1e6, 1e7);
+  const core::IcOperator op(0.25, pref);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::BuildActivityOperator(0.25, pref));
+    op.priorBin(in.data(), eg.data(), bin.data());
+    benchmark::DoNotOptimize(bin.data());
   }
 }
-BENCHMARK(BM_ActivityOperatorBuild)->Arg(22)->Arg(64);
+BENCHMARK(BM_IcOperatorPriorBin)->Arg(22)->Arg(200);
 
 void BM_GravityPredict(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -13,20 +13,17 @@ namespace ictm::core {
 namespace {
 
 // A-step: given (f, P), each bin's activities solve an independent
-// NNLS problem x(t) ~ Phi * A(t).
+// NNLS problem x(t) ~ Phi * A(t), through the closed-form Gram
+// Phi^T Phi and right-hand side Phi^T x(t).
 void UpdateActivities(const traffic::TrafficMatrixSeries& series, double f,
                       const linalg::Vector& preference,
                       linalg::Matrix& activitySeries) {
   const std::size_t n = series.nodeCount();
-  const linalg::Matrix phi = BuildActivityOperator(f, preference);
-  const linalg::Matrix gram = phi.transposed() * phi;
-
+  const IcOperator op(f, preference);
+  const linalg::Matrix gram = op.gram();
   for (std::size_t t = 0; t < series.binCount(); ++t) {
-    linalg::Vector x(n * n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) x[i * n + j] = series(t, i, j);
-    const linalg::Vector rhs = linalg::TransposeTimes(phi, x);
-    const linalg::Vector a = linalg::SolveGramNnls(gram, rhs);
+    const linalg::Vector a =
+        linalg::SolveGramNnls(gram, op.transposeTimes(series.binData(t)));
     for (std::size_t i = 0; i < n; ++i) activitySeries(i, t) = a[i];
   }
 }

@@ -1,5 +1,6 @@
 #include "core/ic_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel.hpp"
@@ -105,6 +106,112 @@ linalg::Matrix BuildActivityOperator(double f,
     }
   }
   return phi;
+}
+
+IcOperator::IcOperator(double f, const linalg::Vector& preference)
+    : f_(f), pn_(preference), pnSq_(0.0) {
+  ICTM_REQUIRE(f > 0.0 && f < 1.0, "f must lie in (0,1)");
+  ICTM_REQUIRE(!preference.empty(), "empty preference vector");
+  double sum = 0.0;
+  for (double p : preference) {
+    ICTM_REQUIRE(std::isfinite(p) && p >= 0.0,
+                 "preference entries must be finite and non-negative");
+    sum += p;
+  }
+  ICTM_REQUIRE(std::isfinite(sum) && sum > 0.0,
+               "preference sum must be finite and positive");
+  for (double& p : pn_) {
+    p /= sum;
+    pnSq_ += p * p;
+  }
+}
+
+void IcOperator::activities(const double* ingress, const double* egress,
+                            double* activity) const {
+  const std::size_t n = pn_.size();
+  const double g = 1.0 - f_;
+  const double a = f_ * f_ + g * g;
+  const double fg2 = 2.0 * f_ * g;
+  // r = (Q Phi)^T [in; eg] = f in + g eg + (g Pn.in + f Pn.eg) 1.
+  double pnIn = 0.0, pnEg = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    pnIn += pn_[k] * ingress[k];
+    pnEg += pn_[k] * egress[k];
+  }
+  const double shift = g * pnIn + f_ * pnEg;
+  double sumR = 0.0, pnR = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double r = f_ * ingress[k] + g * egress[k] + shift;
+    activity[k] = r;
+    sumR += r;
+    pnR += pn_[k] * r;
+  }
+  // (Q Phi)^T (Q Phi) = a I + U C U^T with U = [1, Pn] and
+  // C = [[a ||Pn||^2, 2fg], [2fg, 0]].  For s = U^T A = (sum A, Pn.A),
+  // (a I + U^T U C) s = U^T r, a 2 x 2 system whose determinant is
+  // 1 + n ||Pn||^2 (2f - 1)^2 >= 1 (using a + 2fg = 1, sum Pn = 1).
+  const double nq = static_cast<double>(n) * pnSq_;
+  const double m00 = a * (1.0 + nq) + fg2;
+  const double m01 = fg2 * static_cast<double>(n);
+  const double det = m00 - m01 * pnSq_;
+  const double sigma = (sumR - m01 * pnR) / det;
+  const double pi = (m00 * pnR - pnSq_ * sumR) / det;
+  // A = (r - U C s) / a.
+  const double offset = a * pnSq_ * sigma + fg2 * pi;
+  const double slope = fg2 * sigma;
+  for (std::size_t k = 0; k < n; ++k) {
+    activity[k] = (activity[k] - offset - slope * pn_[k]) / a;
+  }
+}
+
+void IcOperator::priorBin(const double* ingress, const double* egress,
+                          double* outBin, double* activity) const {
+  const std::size_t n = pn_.size();
+  linalg::Vector local;
+  if (activity == nullptr) {
+    local.resize(n);
+    activity = local.data();
+  }
+  activities(ingress, egress, activity);
+  const double g = 1.0 - f_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double fai = f_ * activity[i];
+    const double gpi = g * pn_[i];
+    double* row = outBin + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = std::max(fai * pn_[j] + activity[j] * gpi, 0.0);
+    }
+  }
+}
+
+linalg::Matrix IcOperator::gram() const {
+  const std::size_t n = pn_.size();
+  const double g = 1.0 - f_;
+  const double fg2 = 2.0 * f_ * g;
+  linalg::Matrix gram(n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t l = 0; l < n; ++l) gram(k, l) = fg2 * pn_[k] * pn_[l];
+    gram(k, k) += (f_ * f_ + g * g) * pnSq_;
+  }
+  return gram;
+}
+
+linalg::Vector IcOperator::transposeTimes(const double* tm) const {
+  const std::size_t n = pn_.size();
+  const double g = 1.0 - f_;
+  linalg::Vector out(n, 0.0);
+  linalg::Vector colPart(n, 0.0);  // (X^T Pn)_k = sum_i Pn_i X_ik
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = tm + i * n;
+    double rowPart = 0.0;  // (X Pn)_i
+    for (std::size_t j = 0; j < n; ++j) {
+      rowPart += row[j] * pn_[j];
+      colPart[j] += pn_[i] * row[j];
+    }
+    out[i] = f_ * rowPart;
+  }
+  for (std::size_t k = 0; k < n; ++k) out[k] += g * colPart[k];
+  return out;
 }
 
 double ConditionalEgressProbability(const linalg::Matrix& tm,

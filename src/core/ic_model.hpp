@@ -53,11 +53,50 @@ traffic::TrafficMatrixSeries EvaluateStableFP(
     std::size_t threads = 1);
 
 /// Builds the n^2 x n linear operator Phi with x(t) = Phi * A(t) for
-/// fixed (f, P) — the matrix the stable-fP estimation premultiplies by
-/// Q in Eq. 8.  Row i*n+j corresponds to X_ij; preference is
-/// normalised internally.
+/// fixed (f, P) as a dense matrix.  Row i*n+j corresponds to X_ij;
+/// preference is normalised internally.  Dense reference for
+/// IcOperator, which every library path uses instead.
 linalg::Matrix BuildActivityOperator(double f,
                                      const linalg::Vector& preference);
+
+/// The stable-fP activity operator Phi(f, P) of Eq. 7 (x = Phi * A) in
+/// closed form, holding only f and the normalised preference Pn, so it
+/// costs O(n) to build and to keep.  With g = 1 - f and a = f^2 + g^2:
+///   Q Phi      = [f I + g Pn 1^T ; g I + f Pn 1^T]  (full column rank)
+///   Phi^T Phi  = a ||Pn||^2 I + 2fg Pn Pn^T
+///   Phi^T x    = f (X Pn) + g (X^T Pn)
+/// The stable-fP prior (batch and streaming) and the fit's activity
+/// step all go through it, so they share one floating-point path.
+class IcOperator {
+ public:
+  /// Throws ictm::Error unless f lies in (0, 1) and the preference is
+  /// non-empty with finite, non-negative entries and a positive sum.
+  IcOperator(double f, const linalg::Vector& preference);
+
+  /// Eqs. 8-9 for one bin's marginals (n doubles each): the
+  /// least-squares activities Atilde = pinv(Q Phi) [in; eg], then the
+  /// prior X_ij = max(f Atilde_i Pn_j + g Atilde_j Pn_i, 0) into
+  /// `outBin` (n x n, FlattenTm order).  `activity`, when non-null,
+  /// receives Atilde (n).
+  void priorBin(const double* ingress, const double* egress, double* outBin,
+                double* activity = nullptr) const;
+
+  /// Phi^T Phi (n x n), the Gram matrix of the fit's activity NNLS.
+  linalg::Matrix gram() const;
+
+  /// Phi^T x for a TM `tm` (n x n, FlattenTm order).
+  linalg::Vector transposeTimes(const double* tm) const;
+
+ private:
+  // Atilde: solves (Q Phi)^T (Q Phi) A = (Q Phi)^T [in; eg], which is
+  // a I plus a rank-2 term, with one 2 x 2 solve (Woodbury).
+  void activities(const double* ingress, const double* egress,
+                  double* activity) const;
+
+  double f_;
+  linalg::Vector pn_;  // normalised preference, sums to 1
+  double pnSq_;        // ||Pn||^2
+};
 
 /// Degrees-of-freedom accounting from paper Sec. 5.1 for a dataset of
 /// n nodes over t bins.

@@ -6,8 +6,9 @@
 //  1. measured (Sec. 6.1): f, {P_i}, {A_i(t)} all known (from a fit)
 //     — the prior is just the model evaluation;
 //  2. stable-fP (Sec. 6.2): f and {P_i} known from an earlier week;
-//     {A_i(t)} estimated from current ingress/egress counts via the
-//     pseudo-inverse of Q*Phi (Eqs. 7-9);
+//     {A_i(t)} estimated from current ingress/egress counts as the
+//     least-squares solution of Q*Phi*A = [in; eg] (Eqs. 7-9, in closed
+//     form through core::IcOperator);
 //  3. stable-f (Sec. 6.3): only f known; both {A_i} and {P_i} come
 //     from the closed forms (Eqs. 11-12) on the current marginals.
 #pragma once
@@ -42,7 +43,8 @@ traffic::TrafficMatrixSeries GravityPriorSeries(
 /// Stable-fP prior (Eqs. 7-9).  Returns the prior series; when
 /// `outActivities` is non-null it receives the estimated n x T matrix
 /// Atilde (useful for diagnostics).  Negative model outputs (possible
-/// because the pseudo-inverse is unconstrained) are clamped to zero.
+/// because the least-squares solve is unconstrained) are clamped to
+/// zero.  Per bin this is IcOperator::priorBin.
 traffic::TrafficMatrixSeries StableFPPrior(
     double f, const linalg::Vector& preference,
     const MarginalSeries& marginals, double binSeconds = 300.0,

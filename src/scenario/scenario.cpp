@@ -1,10 +1,5 @@
 #include "scenario/scenario.hpp"
 
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/estimation.hpp"
 #include "scenario/builtin.hpp"
 #include "scenario/common.hpp"
 
@@ -43,22 +37,6 @@ void EnsureBuiltins() {
     detail::RegisterStreamScenarios();
     detail::RegisterWhatIfScenarios();
   });
-}
-
-// Strict non-negative integer parse for the bench-harness flags —
-// rejects trailing junk and overflow instead of silently yielding 0
-// the way atoll does (ICTM-D005).
-bool ParseNonNegative(const char* arg, unsigned long long max,
-                      unsigned long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v > max ||
-      arg[0] == '-') {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -174,66 +152,6 @@ void WriteResultFiles(const std::vector<ScenarioResult>& results,
   ICTM_REQUIRE(os.good(), "cannot open for writing: " + path.string());
   os << json::Value(std::move(manifest)).dump(2);
   ICTM_REQUIRE(os.good(), "write failed: " + path.string());
-}
-
-int RunScenarioMain(const std::string& name, int argc, char** argv) {
-  ScenarioContext ctx;
-  ctx.threads = 0;  // bench binaries default to all cores
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0) {
-      ctx.tiny = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      unsigned long long v = 0;
-      if (!ParseNonNegative(argv[++i], 4096, &v)) {
-        std::fprintf(stderr, "--threads must be an integer in [0, 4096], got: %s\n",
-                     argv[i]);
-        return 2;
-      }
-      ctx.threads = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      unsigned long long v = 0;
-      if (!ParseNonNegative(argv[++i], ~0ULL, &v)) {
-        std::fprintf(stderr, "--seed must be a non-negative integer, got: %s\n",
-                     argv[i]);
-        return 2;
-      }
-      ctx.seedOffset = static_cast<std::uint64_t>(v);
-    } else if (std::strcmp(argv[i], "--topology") == 0 && i + 1 < argc) {
-      ctx.topology = argv[++i];
-    } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      core::SolverKind kind;
-      if (!core::ParseSolverKind(argv[i + 1], &kind)) {
-        std::fprintf(stderr,
-                     "unknown solver: %s (expected dense|sparse|cg|auto)\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      ctx.solver = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--tiny] [--threads N] [--seed S] "
-                   "[--topology SPEC] [--solver dense|sparse|cg|auto]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
-  const ScenarioResult r = RunScenario(name, ctx);
-  std::printf("==============================================================\n");
-  std::printf("%s — %s [%s]\n", r.info.artifact.c_str(),
-              r.info.title.c_str(), r.info.name.c_str());
-  std::printf("paper: %s\n", r.info.expectation.c_str());
-  std::printf("(simulated datasets; compare shape, not absolute values)\n");
-  std::printf("==============================================================\n");
-  if (!r.error.empty()) {
-    std::fprintf(stderr, "error: %s\n", r.error.c_str());
-    return 1;
-  }
-  std::printf("%s", r.doc.dump(2).c_str());
-  if (!r.notes.empty()) std::printf("%s", r.notes.c_str());
-  std::printf("[%s] %s in %.2f s\n", r.pass ? "PASS" : "FAIL",
-              r.info.name.c_str(), r.seconds);
-  return r.pass ? 0 : 1;
 }
 
 }  // namespace ictm::scenario

@@ -11,20 +11,22 @@
 //
 // Per event the worker builds the stable-fP IC prior from the event's
 // ingress/egress marginals (Eqs. 7-9: Ã = pinv(Q·Φ)·[in;eg], prior =
-// Φ·Ã clamped ≥ 0) and refines it against the link loads with the
-// shared core::TmBinSolver — the augmented system is compressed once
-// at construction.  Every `window` bins the preference vector is
-// re-fitted from the window's aggregated marginals via the stable-f
-// closed forms (Eqs. 11-12), so the prior tracks slow preference
-// drift; f stays at yesterday's value, per the paper's stability
-// result.
+// Φ·Ã clamped ≥ 0, in closed form through core::IcOperator::priorBin,
+// the function batch core::StableFPPrior calls) and refines it against
+// the link loads with the shared core::TmBinSolver — the augmented
+// system is compressed once at construction.  Every `window` bins the
+// preference vector is re-fitted from the window's aggregated
+// marginals via the stable-f closed forms (Eqs. 11-12), so the prior
+// tracks slow preference drift; f stays at yesterday's value, per the
+// paper's stability result.
 //
 // Determinism contract: the sequence of (prior, estimate) pairs is a
 // pure function of the pushed event sequence — the window re-fit
-// happens serially inside push() and each event carries an immutable
-// snapshot of its prior model, so results are bit-identical for every
-// thread count and queue capacity, and identical to the batch
-// EstimateSeries run on the same priors (regression-tested).
+// happens serially inside push() (it is O(n): the snapshot is f plus
+// the preference) and each event carries an immutable snapshot of its
+// prior model, so results are bit-identical for every thread count
+// and queue capacity, and identical to the batch EstimateSeries run on
+// the same priors (regression-tested).
 #pragma once
 
 #include <cstddef>

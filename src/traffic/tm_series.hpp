@@ -92,8 +92,9 @@ linalg::Matrix BuildIngressOperator(std::size_t n);
 /// counts from flattened TMs.
 linalg::Matrix BuildEgressOperator(std::size_t n);
 
-/// Builds Q = [H; G] (2n x n^2), the stacked marginal operator the
-/// stable-fP estimation premultiplies by (Eq. 8).
+/// Builds Q = [H; G] (2n x n^2), the stacked marginal operator of
+/// Eq. 8 as a dense matrix — the test reference for the closed form in
+/// core::IcOperator.
 linalg::Matrix BuildMarginalOperator(std::size_t n);
 
 }  // namespace ictm::traffic

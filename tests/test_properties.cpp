@@ -2,7 +2,9 @@
 // across parameter grids (f values, network sizes, seeds, topologies).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "core/estimation.hpp"
@@ -11,6 +13,7 @@
 #include "core/ic_model.hpp"
 #include "core/metrics.hpp"
 #include "core/priors.hpp"
+#include "linalg/svd.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 #include "traffic/io.hpp"
@@ -318,9 +321,68 @@ TEST_P(PriorSweep, StableFPPriorExactAcrossF) {
   }
 }
 
+// The closed-form core::IcOperator against the dense reference it
+// replaced on every library path: Atilde = pinv(Q Phi) [in; eg], the
+// prior Phi Atilde, Phi^T Phi and Phi^T x, for heavy-tailed (lognormal,
+// sigma = 1.7) preferences on IC-exact and on random non-IC marginals.
+// Every entry must agree to 1e-12 of the largest reference entry.
+TEST_P(PriorSweep, IcOperatorMatchesDenseReference) {
+  const double f = GetParam();
+  const auto expectClose = [](const linalg::Vector& got,
+                              const linalg::Vector& want,
+                              const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    double scale = 0.0;
+    for (double w : want) scale = std::max(scale, std::fabs(w));
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_LE(std::fabs(got[k] - want[k]), 1e-12 * scale)
+          << what << " entry " << k;
+    }
+  };
+  for (const std::size_t n : {std::size_t{3}, std::size_t{22},
+                              std::size_t{50}}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    stats::Rng rng(static_cast<std::uint64_t>(f * 1e4) * 131 + n);
+    linalg::Vector pref(n), act(n);
+    for (double& p : pref) p = std::exp(rng.gaussian(0.0, 1.7));
+    for (double& a : act) a = 1e6 * std::exp(rng.gaussian(0.0, 1.7));
+    const core::IcOperator op(f, pref);
+    const linalg::Matrix phi = core::BuildActivityOperator(f, pref);
+    const linalg::Matrix qphiPinv =
+        linalg::PseudoInverse(traffic::BuildMarginalOperator(n) * phi);
+
+    const linalg::Vector exact =
+        topology::FlattenTm(core::EvaluateSimplifiedIc({f, act, pref}));
+    linalg::Vector nonIc(n * n);
+    for (double& x : nonIc) x = 1e6 * std::exp(rng.gaussian(0.0, 1.7));
+    for (const linalg::Vector& tm : {exact, nonIc}) {
+      linalg::Vector counts(2 * n, 0.0);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+          counts[i] += tm[i * n + j];
+          counts[n + j] += tm[i * n + j];
+        }
+      const linalg::Vector wantA = qphiPinv * counts;
+      linalg::Vector wantPrior = phi * wantA;
+      for (double& x : wantPrior) x = std::max(x, 0.0);
+      linalg::Vector gotA(n), gotPrior(n * n);
+      op.priorBin(counts.data(), counts.data() + n, gotPrior.data(),
+                  gotA.data());
+      expectClose(gotA, wantA, "activities");
+      expectClose(gotPrior, wantPrior, "prior bin");
+      expectClose(op.transposeTimes(tm.data()),
+                  linalg::TransposeTimes(phi, tm), "Phi^T x");
+    }
+    expectClose(op.gram().data(), (phi.transposed() * phi).data(),
+                "Phi^T Phi");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(FGrid, PriorSweep,
                          ::testing::Values(0.05, 0.2, 0.35, 0.5, 0.7,
                                            0.95));
+INSTANTIATE_TEST_SUITE_P(OperatorFGrid, PriorSweep,
+                         ::testing::Values(0.05, 0.25, 0.5, 0.75, 0.95));
 
 }  // namespace
 }  // namespace ictm

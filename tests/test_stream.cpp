@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "conngen/generator.hpp"
@@ -967,6 +968,32 @@ TEST(StreamingEstimator, RejectsBadConfiguration) {
     EXPECT_THROW(e.push(std::move(bad)), Error);
     e.finish();
     EXPECT_THROW(e.push(BinEvent{}), Error);
+  }
+}
+
+TEST(StreamingEstimator, RejectsInvalidPreference) {
+  // A negative or non-finite preference entry, from the options or
+  // from a resumed checkpoint, is refused up front instead of turning
+  // into wrong or NaN priors.
+  StreamFixture fx;
+  auto noop = [](std::size_t, const double*, const double*) {};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<linalg::Vector> bad = {
+      {0.5, 0.3, -0.1, 0.1, 0.1, 0.1},
+      {0.5, 0.3, inf, 0.1, 0.1, 0.1},
+      {0.5, 0.3, std::nan(""), 0.1, 0.1, 0.1},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+  };
+  for (const linalg::Vector& preference : bad) {
+    StreamingOptions opts;
+    opts.preference = preference;
+    EXPECT_THROW(StreamingEstimator e(fx.routing, 6, opts, noop), Error);
+
+    StreamingOptions resumed;
+    resumed.window = 4;
+    resumed.resume = StreamingCheckpoint{
+        3, preference, linalg::Vector(6, 0.0), linalg::Vector(6, 0.0), 0};
+    EXPECT_THROW(StreamingEstimator e(fx.routing, 6, resumed, noop), Error);
   }
 }
 

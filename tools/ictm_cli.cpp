@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -72,6 +71,7 @@
 #include "core/metrics.hpp"
 #include "core/priors.hpp"
 #include "core/synthesis.hpp"
+#include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -492,12 +492,9 @@ int CmdRun(int argc, char** argv) {
               names.size(), workers, ctx.threads,
               ctx.tiny ? " [tiny]" : "");
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = scenario::StartTimer();
   const auto results = scenario::RunScenarios(names, ctx, workers);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = scenario::SecondsSince(start);
 
   bool allPass = true;
   for (const auto& r : results) {
@@ -528,6 +525,34 @@ int CmdRun(int argc, char** argv) {
   }
   obsOut.finish();
   return allPass ? 0 : 1;
+}
+
+// Accuracy line for the per-bin RelL2 of an estimate and a reference
+// over the scored bins.  The improvement is a ratio of means,
+// 1 - mean(err_est) / mean(err_ref), next to the count of bins where
+// the estimate is worse: a mean of per-bin percentages is dominated by
+// bins whose reference error is ~0 and can read negative while the
+// mean error falls.
+void PrintAccuracy(const char* estName, const std::vector<double>& errEst,
+                   const char* refName, const std::vector<double>& errRef) {
+  const std::size_t bins = errEst.size();
+  double sumEst = 0.0, sumRef = 0.0;
+  std::size_t worse = 0;
+  for (std::size_t t = 0; t < bins; ++t) {
+    sumEst += errEst[t];
+    sumRef += errRef[t];
+    if (errEst[t] > errRef[t]) ++worse;
+  }
+  std::printf("mean RelL2 over %zu scored bin(s): %s %.4f vs %s %.4f ",
+              bins, estName, sumEst / double(bins), refName,
+              sumRef / double(bins));
+  if (sumRef > 0.0) {
+    std::printf("(improvement %.1f%% as a ratio of means; ",
+                100.0 * (1.0 - sumEst / sumRef));
+  } else {
+    std::printf("(improvement undefined: zero reference error; ");
+  }
+  std::printf("worse on %zu of %zu bin(s))\n", worse, bins);
 }
 
 double ArgOr(int argc, char** argv, int idx, double fallback) {
@@ -573,10 +598,7 @@ int CmdFit(int argc, char** argv) {
   const auto rec = core::ReconstructSeries(fit, series.binSeconds());
   const auto icErr = core::RelL2TemporalSeries(series, rec);
   const auto gErr = core::RelL2TemporalSeries(series, grav);
-  std::printf("mean RelL2: IC %.4f vs gravity %.4f (improvement "
-              "%.1f%%)\n",
-              core::Mean(icErr), core::Mean(gErr),
-              core::Mean(core::PercentImprovementSeries(gErr, icErr)));
+  PrintAccuracy("IC", icErr, "gravity", gErr);
   return 0;
 }
 
@@ -672,22 +694,16 @@ int CmdEstimate(int argc, char** argv) {
                                           options.useMarginalConstraints))));
 
   const auto priors = core::GravityPredictSeries(truth);
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = scenario::StartTimer();
   const auto est = core::EstimateSeries(routing, truth, priors, options);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = scenario::SecondsSince(start);
 
   const auto errEst = core::RelL2TemporalSeries(truth, est);
   const auto errPrior = core::RelL2TemporalSeries(truth, priors);
   std::printf("estimated %zu bins in %.3f s (%.2f ms/bin)\n",
               truth.binCount(), sec,
               1e3 * sec / double(truth.binCount()));
-  std::printf("mean RelL2: tomogravity %.4f vs gravity prior %.4f "
-              "(improvement %.1f%%)\n",
-              core::Mean(errEst), core::Mean(errPrior),
-              core::Mean(core::PercentImprovementSeries(errPrior, errEst)));
+  PrintAccuracy("tomogravity", errEst, "gravity prior", errPrior);
   obsOut.finish();
   return 0;
 }
@@ -787,10 +803,9 @@ int CmdStream(int argc, char** argv) {
   // scoring; the bounded queue keeps this map small.
   std::mutex truthMutex;
   std::map<std::size_t, std::vector<double>> inflight;
-  double sumErrEst = 0.0, sumErrPrior = 0.0, sumImprovePct = 0.0;
-  std::size_t scoredBins = 0, improveBins = 0;
+  std::vector<double> errEsts, errPriors;  // per scored bin
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = scenario::StartTimer();
   {
     stream::StreamingEstimator estimator(
         routing, nodes, options,
@@ -811,15 +826,8 @@ int CmdStream(int argc, char** argv) {
             priorSq += (x - prior[k]) * (x - prior[k]);
           }
           if (truthSq > 0.0) {
-            const double errEst = std::sqrt(estSq / truthSq);
-            const double errPrior = std::sqrt(priorSq / truthSq);
-            sumErrEst += errEst;
-            sumErrPrior += errPrior;
-            ++scoredBins;
-            if (errPrior > 0.0) {
-              sumImprovePct += 100.0 * (errPrior - errEst) / errPrior;
-              ++improveBins;
-            }
+            errEsts.push_back(std::sqrt(estSq / truthSq));
+            errPriors.push_back(std::sqrt(priorSq / truthSq));
           }
           if (estWriter) {
             estWriter->append(estimate);
@@ -843,21 +851,13 @@ int CmdStream(int argc, char** argv) {
     }
     estimator.finish();
   }
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = scenario::SecondsSince(start);
   std::printf("estimated %zu bins in %.3f s (%.0f bins/s)\n", bins, sec,
               sec > 0.0 ? double(bins) / sec : 0.0);
-  if (scoredBins > 0) {
+  if (!errEsts.empty()) {
     // Means over the bins that carry traffic (all-zero bins have no
     // defined RelL2 and are excluded from numerator and denominator).
-    std::printf("mean RelL2 over %zu scored bin(s): streaming estimate "
-                "%.4f vs IC prior %.4f (improvement %.1f%%)\n",
-                scoredBins, sumErrEst / double(scoredBins),
-                sumErrPrior / double(scoredBins),
-                improveBins > 0 ? sumImprovePct / double(improveBins)
-                                : 0.0);
+    PrintAccuracy("streaming estimate", errEsts, "IC prior", errPriors);
   } else {
     std::printf("no bins carried traffic; RelL2 undefined\n");
   }
@@ -1251,13 +1251,10 @@ int CmdRepack(int argc, char** argv) {
     }
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = scenario::StartTimer();
   const stream::RepackResult result =
       stream::RepackTrace(inPath, outPath, options);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = scenario::SecondsSince(start);
   std::printf("repacked %llu bin(s) as %s: %llu -> %llu bytes (%.2fx) "
               "in %.3f s\n",
               static_cast<unsigned long long>(result.bins),

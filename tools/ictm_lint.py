@@ -17,7 +17,9 @@ the constructs that break the contract in ways a lucky schedule hides:
              (notes-channel timing) and obs::Now() (metrics/tracing
              timestamps, strictly off the estimation path); both are
              allowlisted at their single definition site and every
-             caller goes through them.
+             caller goes through them.  D002 also covers the
+             top-level tools/*.cpp (the CLI), whose timers go through
+             the same StartTimer/SecondsSince pair.
   ICTM-D003  float-typed storage in estimation paths (src/core,
              src/linalg, src/server, src/stream, src/timeseries,
              src/traffic) —
@@ -39,7 +41,8 @@ No compiler dependency: pure stdlib regex over comment- and
 string-stripped sources, so the gate runs anywhere Python 3 runs.
 
 Usage:
-  ictm_lint.py [--root DIR]              # scan DIR/src with the allowlist
+  ictm_lint.py [--root DIR]              # scan DIR/src (+ tools/*.cpp for
+                                         # D002) with the allowlist
   ictm_lint.py [--root DIR] --self-test  # fixtures + clean src/ scan
   ictm_lint.py FILE...                   # scan specific files, no allowlist
 
@@ -308,6 +311,15 @@ def collect_sources(root: str) -> List[str]:
     return sorted(out)
 
 
+def collect_tool_sources(root: str) -> List[str]:
+    """Top-level tools/*.cpp, scanned for ICTM-D002 only."""
+    tools = os.path.join(root, "tools")
+    if not os.path.isdir(tools):
+        return []
+    return sorted(os.path.join(tools, name) for name in os.listdir(tools)
+                  if name.endswith(".cpp"))
+
+
 def report(findings: List[Finding]) -> None:
     for f in findings:
         print(f"{f.path}:{f.line}: {f.rule}: {RULES[f.rule]}")
@@ -321,6 +333,10 @@ def run_scan(root: str) -> int:
     for path in collect_sources(root):
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         findings.extend(scan_file(path, rel))
+    for path in collect_tool_sources(root):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        findings.extend(f for f in scan_file(path, rel)
+                        if f.rule == "ICTM-D002")
     findings, stale = apply_allowlist(findings, entries,
                                       os.path.relpath(allow_path, root))
     report(findings)

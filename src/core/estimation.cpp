@@ -7,7 +7,6 @@
 #include "core/solver_backend.hpp"
 #include "linalg/lsq.hpp"
 #include "linalg/pcg.hpp"
-#include "linalg/sparse_chol.hpp"
 #include "topology/routing.hpp"
 #include "traffic/tm_series.hpp"
 
@@ -76,11 +75,10 @@ const char* SolverKindName(SolverKind kind) noexcept {
   switch (kind) {
     case SolverKind::kDense:
       return "dense";
-    case SolverKind::kSparse:
-      return "sparse";
     case SolverKind::kCg:
       return "cg";
     case SolverKind::kAuto:
+    case SolverKind::kReservedSparse:
       break;
   }
   return "auto";
@@ -91,8 +89,6 @@ bool ParseSolverKind(std::string_view name, SolverKind* out) noexcept {
     *out = SolverKind::kAuto;
   } else if (name == "dense") {
     *out = SolverKind::kDense;
-  } else if (name == "sparse") {
-    *out = SolverKind::kSparse;
   } else if (name == "cg") {
     *out = SolverKind::kCg;
   } else {
@@ -129,14 +125,6 @@ AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
 }
 
 AugmentedTmSystem::~AugmentedTmSystem() = default;
-
-const linalg::SparseNormalAnalysis& AugmentedTmSystem::sparseAnalysis()
-    const {
-  std::call_once(sparseOnce_, [this] {
-    sparse_ = std::make_unique<linalg::SparseNormalAnalysis>(a_);
-  });
-  return *sparse_;
-}
 
 const linalg::FrozenNormalPreconditioner&
 AugmentedTmSystem::cgPreconditioner() const {

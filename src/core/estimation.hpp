@@ -21,7 +21,6 @@
 
 namespace ictm::linalg {
 class FrozenNormalPreconditioner;  // linalg/pcg.hpp
-class SparseNormalAnalysis;        // linalg/sparse_chol.hpp
 }  // namespace ictm::linalg
 
 namespace ictm::core {
@@ -29,16 +28,20 @@ namespace ictm::core {
 class SolverBackend;  // core/solver_backend.hpp
 
 /// How each bin's normal equations are solved (see
-/// core/solver_backend.hpp for the backend layer).
+/// core/solver_backend.hpp for the backend layer).  The values are
+/// the wire and checkpoint encodings, so they never move.
 enum class SolverKind {
-  kAuto,    ///< dense below kAutoSolverRowThreshold rows, cg at/above
-  kDense,   ///< dense normal matrix + blocked in-place Cholesky
-  kSparse,  ///< fill-reducing sparse Cholesky, symbolic shared per system
-  kCg,      ///< matrix-free CG, frozen-Gram preconditioner per system
+  kAuto = 0,   ///< dense below kAutoSolverRowThreshold rows, cg at/above
+  kDense = 1,  ///< dense normal matrix + blocked in-place Cholesky
+  /// Formerly the sparse-Cholesky backend; no backend is built for it.
+  /// A HELLO carrying it is refused with kBadHandshake and a checkpoint
+  /// carrying it fails to decode.
+  kReservedSparse = 2,
+  kCg = 3,  ///< matrix-free CG, frozen-Gram preconditioner per system
 };
 
-/// Stable lowercase name of a solver kind ("auto", "dense", "sparse",
-/// "cg") for CLI/JSON reporting.
+/// Stable lowercase name of a solver kind ("auto", "dense", "cg") for
+/// CLI/JSON reporting.
 const char* SolverKindName(SolverKind kind) noexcept;
 
 /// Parses a solver-kind name as accepted by `--solver`; returns false
@@ -87,7 +90,7 @@ class AugmentedTmSystem {
   /// is set, the 2n ingress/egress rows.
   AugmentedTmSystem(const linalg::CsrMatrix& routing, std::size_t nodes,
                     bool marginalConstraints);
-  ~AugmentedTmSystem();  ///< out of line for the lazy shared analyses
+  ~AugmentedTmSystem();  ///< out of line for the lazy preconditioner
 
   /// Number of nodes n.
   std::size_t nodeCount() const noexcept { return n_; }
@@ -98,17 +101,10 @@ class AugmentedTmSystem {
   /// The compressed operator (rowCount() x n²).
   const linalg::CscMatrix& matrix() const noexcept { return a_; }
 
-  /// The sparse-Cholesky analysis (pattern, fill-reducing ordering,
-  /// symbolic factor, assembly map) of this system's normal operator.
-  /// Built lazily on first use — the weight-independent part of the
-  /// sparse backend — then shared read-only by every bin solver and
-  /// worker thread.  Thread-safe.
-  const linalg::SparseNormalAnalysis& sparseAnalysis() const;
-
   /// The frozen (unweighted-Gram) CG preconditioner of this system's
-  /// normal operator — the cg backend's weight-independent setup,
-  /// with the same lazy once-per-system sharing as sparseAnalysis().
-  /// Thread-safe.
+  /// normal operator — the cg backend's weight-independent setup.
+  /// Built lazily on first use, then shared read-only by every bin
+  /// solver and worker thread.  Thread-safe.
   const linalg::FrozenNormalPreconditioner& cgPreconditioner() const;
 
  private:
@@ -116,8 +112,6 @@ class AugmentedTmSystem {
   std::size_t links_ = 0;
   std::size_t rows_ = 0;
   linalg::CscMatrix a_;
-  mutable std::once_flag sparseOnce_;
-  mutable std::unique_ptr<linalg::SparseNormalAnalysis> sparse_;
   mutable std::once_flag cgOnce_;
   mutable std::unique_ptr<linalg::FrozenNormalPreconditioner> cgPrecond_;
 };
@@ -147,7 +141,7 @@ class TmBinSolver {
   void Solve(const double* linkLoads, const double* priorBin,
              const double* ingress, const double* egress, double* outBin);
 
-  /// Name of the backend actually in use ("dense", "sparse", "cg") —
+  /// Name of the backend actually in use ("dense", "cg") —
   /// kAuto resolved by system size.
   const char* solverName() const noexcept;
 

@@ -7,7 +7,6 @@
 #include "linalg/lsq.hpp"
 #include "linalg/pcg.hpp"
 #include "linalg/sparse.hpp"
-#include "linalg/sparse_chol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
 
@@ -21,17 +20,9 @@ namespace {
 void CountSolve(const char* counterName) {
   static obs::Counter& dense = obs::GetCounter(
       "solver.solves.dense", obs::MetricClass::kDeterministic);
-  static obs::Counter& sparse = obs::GetCounter(
-      "solver.solves.sparse", obs::MetricClass::kDeterministic);
   static obs::Counter& cg = obs::GetCounter(
       "solver.solves.cg", obs::MetricClass::kDeterministic);
-  if (counterName[0] == 'd') {
-    dense.add();
-  } else if (counterName[0] == 's') {
-    sparse.add();
-  } else {
-    cg.add();
-  }
+  (counterName[0] == 'd' ? dense : cg).add();
 }
 
 obs::Counter& FactorNsCounter() {
@@ -91,41 +82,6 @@ class DenseBackend final : public SolverBackend {
   double* m_;  // rows x rows: normal matrix, then its factor
 };
 
-// Sparse Cholesky against the system's shared symbolic analysis; only
-// the numeric buffers are per thread.
-class SparseBackend final : public SolverBackend {
- public:
-  SparseBackend(const AugmentedTmSystem& system,
-                const EstimationOptions& options)
-      : analysis_(system.sparseAnalysis()),
-        relativeRidge_(options.relativeRidge) {
-    arena_.Reserve(linalg::SparseNormalSolver::RequiredScratch(analysis_));
-    solver_.emplace(analysis_, arena_.Take(
-        linalg::SparseNormalSolver::RequiredScratch(analysis_)));
-  }
-
-  const char* name() const noexcept override { return "sparse"; }
-
-  void SolveNormal(const double* weights, double* rhs) override {
-    CountSolve(name());
-    const bool recording = obs::Enabled();
-    const std::uint64_t t0 = recording ? obs::Now() : 0;
-    solver_->Factor(weights, relativeRidge_);
-    const std::uint64_t t1 = recording ? obs::Now() : 0;
-    solver_->Solve(rhs);
-    if (recording) {
-      FactorNsCounter().add(t1 - t0);
-      SubstituteNsCounter().add(obs::Now() - t1);
-    }
-  }
-
- private:
-  const linalg::SparseNormalAnalysis& analysis_;
-  double relativeRidge_;
-  WorkspaceArena arena_;
-  std::optional<linalg::SparseNormalSolver> solver_;
-};
-
 // Matrix-free PCG straight off the system's compressed operator.
 class CgBackend final : public SolverBackend {
  public:
@@ -148,12 +104,12 @@ class CgBackend final : public SolverBackend {
     // the redundant-marginal null direction (harmless — that
     // component never reaches the estimate), but a residual this
     // large means the range-space solve genuinely stalled; failing
-    // loudly beats silently degraded estimates, matching the direct
-    // backends' throw-on-numerical-failure behaviour.
+    // loudly beats silently degraded estimates, matching the dense
+    // backend's throw-on-numerical-failure behaviour.
     ICTM_REQUIRE(result.converged || result.relativeResidual < 1e-6,
                  "cg backend did not converge (relative residual " +
                      std::to_string(result.relativeResidual) +
-                     "); retry with --solver dense or sparse");
+                     "); retry with --solver dense");
   }
 
  private:
@@ -187,14 +143,10 @@ std::unique_ptr<SolverBackend> MakeSolverBackend(
         obs::GetCounter("solver.auto_picks.cg", obs::MetricClass::kTiming);
     (resolved == SolverKind::kCg ? autoCg : autoDense).add();
   }
-  switch (resolved) {
-    case SolverKind::kSparse:
-      return std::make_unique<SparseBackend>(system, options);
-    case SolverKind::kCg:
-      return std::make_unique<CgBackend>(system, options);
-    case SolverKind::kDense:
-    case SolverKind::kAuto:
-      break;
+  ICTM_REQUIRE(resolved != SolverKind::kReservedSparse,
+               "solver kind 2 is reserved (the sparse backend was removed)");
+  if (resolved == SolverKind::kCg) {
+    return std::make_unique<CgBackend>(system, options);
   }
   return std::make_unique<DenseBackend>(system, options);
 }

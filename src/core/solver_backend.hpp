@@ -8,13 +8,6 @@
 //   dense   — assemble the normal matrix densely and run the blocked
 //             in-place Cholesky (the original path, kept as the
 //             reference; unbeatable at the paper's 22 nodes),
-//   sparse  — fill-reducing-ordered sparse Cholesky; the symbolic
-//             factorization is computed once per AugmentedTmSystem and
-//             shared read-only by every bin and thread
-//             (linalg/sparse_chol.hpp).  Exact like dense; pays off
-//             when the augmented normal matrix is genuinely sparse
-//             (e.g. without marginal constraints) — with them, the
-//             2n marginal rows densify the factor and dense wins,
 //   cg      — matrix-free preconditioned conjugate gradient that
 //             applies the operator through A's compressed arrays and
 //             never forms the per-bin normal matrix; preconditioned
@@ -73,7 +66,7 @@ class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
 
-  /// Stable backend name ("dense", "sparse", "cg") for reporting.
+  /// Stable backend name ("dense", "cg") for reporting.
   virtual const char* name() const noexcept = 0;
 
   /// Solves (A·diag(weights)·Aᵀ + ridge·I) z = rhs in place

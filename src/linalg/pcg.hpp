@@ -31,9 +31,8 @@ namespace ictm::linalg {
 
 /// Weight-independent CG preconditioner: the dense Cholesky factor of
 /// the unweighted Gram A·Aᵀ + λ̄·I (λ̄ scaled by the trace like the
-/// per-bin ridge).  Built once per augmented system — the analogue of
-/// the sparse backend's symbolic factorization — and shared read-only
-/// across threads.
+/// per-bin ridge).  Built once per augmented system and shared
+/// read-only across threads.
 ///
 /// The factor is computed in double precision and stored in single:
 /// the implied preconditioner U₃₂ᵀU₃₂ is still exactly symmetric

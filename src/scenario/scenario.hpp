@@ -46,7 +46,7 @@ struct ScenarioContext {
   /// documents depend on it, thread counts never.
   std::string topology;
   /// Solver backend for the estimation kernels: "auto" (default when
-  /// empty), "dense", "sparse" or "cg" — see core/solver_backend.hpp.
+  /// empty), "dense" or "cg" — see core/solver_backend.hpp.
   /// Configuration like the seed offset (backends differ in low-order
   /// floating-point bits); the resolved backend is reported through
   /// the notes channel, never inside result documents.

@@ -129,7 +129,9 @@ struct HelloRequest {
   std::uint64_t topologySeed = 0;  ///< generator seed for seeded specs
   double f = 0.25;              ///< forward fraction of the prior
   std::uint64_t window = 0;     ///< preference re-fit window (0 = off)
-  core::SolverKind solver = core::SolverKind::kAuto;  ///< backend
+  /// Backend.  The reserved value decodes (old peers sent it) and the
+  /// session refuses it with kBadHandshake.
+  core::SolverKind solver = core::SolverKind::kAuto;
   std::uint32_t threads = 1;    ///< requested workers (server caps)
   std::uint32_t queueCapacity = 64;  ///< requested queue (server caps)
   std::uint64_t clientFrames = 0;  ///< estimate frames the client already

@@ -199,6 +199,10 @@ struct Session::Impl {
       return refuse(ErrorCode::kBadHandshake,
                     "thread count must be positive");
     }
+    if (hello.solver == core::SolverKind::kReservedSparse) {
+      return refuse(ErrorCode::kBadHandshake,
+                    "solver 2 (sparse) was removed; use dense, cg or auto");
+    }
     if (hello.resume && hello.sessionKey.empty()) {
       return refuse(ErrorCode::kBadHandshake,
                     "resume requires a session key");

@@ -7,28 +7,34 @@ namespace ictm::topology {
 
 namespace {
 
-// Computes, for a fixed destination-tree rooted at `source`, the
-// fraction of (source -> v) traffic on every link, assuming even ECMP
-// splitting at every branch point.  `sp` is the shortest-path result
-// from `source`.
-void AccumulateFractions(const Graph& g, const ShortestPaths& sp,
-                         NodeId source, NodeId target, bool ecmp,
-                         std::vector<double>& linkFraction) {
-  // Walk backwards from target to source, distributing the unit of
-  // traffic across predecessor links proportionally.  We process nodes
-  // in order of decreasing distance so each node's mass is final before
-  // we push it upstream.
-  std::vector<double> nodeMass(g.nodeCount(), 0.0);
-  nodeMass[target] = 1.0;
-
-  std::vector<NodeId> order;
-  order.reserve(g.nodeCount());
-  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+// The nodes reachable from the source of `sp`, farthest first: the
+// order in which AccumulateFractions pushes mass upstream, so each
+// node's mass is final before it moves.  It depends on the source
+// only, so BuildRoutingCsr sorts once per source, not per OD pair.
+void SortFarthestFirst(const ShortestPaths& sp, std::vector<NodeId>& order) {
+  order.clear();
+  for (NodeId v = 0; v < sp.dist.size(); ++v) {
     if (std::isfinite(sp.dist[v])) order.push_back(v);
   }
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
     return sp.dist[a] > sp.dist[b];
   });
+}
+
+// Computes, for a fixed destination-tree rooted at `source`, the
+// fraction of (source -> target) traffic on every link, assuming even
+// ECMP splitting at every branch point.  `sp` is the shortest-path
+// result from `source` and `order` its SortFarthestFirst order;
+// `nodeMass` is n doubles of scratch.
+void AccumulateFractions(const Graph& g, const ShortestPaths& sp,
+                         const std::vector<NodeId>& order, NodeId source,
+                         NodeId target, bool ecmp,
+                         std::vector<double>& nodeMass,
+                         std::vector<double>& linkFraction) {
+  // Walk backwards from target to source, distributing the unit of
+  // traffic across predecessor links proportionally.
+  std::fill(nodeMass.begin(), nodeMass.end(), 0.0);
+  nodeMass[target] = 1.0;
 
   for (NodeId v : order) {
     if (v == source || nodeMass[v] <= 0.0) continue;
@@ -65,12 +71,17 @@ linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
   entries.reserve(4 * n * n);  // a few links per OD pair
 
   std::vector<double> linkFraction(g.linkCount(), 0.0);
+  std::vector<double> nodeMass(n, 0.0);
+  std::vector<NodeId> order;
+  order.reserve(n);
   for (NodeId src = 0; src < n; ++src) {
     const ShortestPaths sp = ComputeShortestPaths(g, src);
+    SortFarthestFirst(sp, order);
     for (NodeId dst = 0; dst < n; ++dst) {
       if (src == dst) continue;  // intra-PoP traffic uses no backbone link
       std::fill(linkFraction.begin(), linkFraction.end(), 0.0);
-      AccumulateFractions(g, sp, src, dst, options.ecmp, linkFraction);
+      AccumulateFractions(g, sp, order, src, dst, options.ecmp, nodeMass,
+                          linkFraction);
       const std::size_t col = src * n + dst;
       for (LinkId lid = 0; lid < g.linkCount(); ++lid) {
         if (linkFraction[lid] != 0.0) {

@@ -273,6 +273,32 @@ struct Probe {
     ASSERT_TRUE(readFrame(&frame));
     ASSERT_EQ(frame.type, FrameType::kWelcome);
   }
+
+  /// Streams three bins of an 11-node series after handshake(), then
+  /// FIN, and expects every estimate followed by the FIN-ACK.
+  void streamToFinAck() {
+    const std::size_t nodes = 11;
+    const auto truth = test::RandomSeries(nodes, 3, 21);
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      ASSERT_TRUE(sendFrame(
+          FrameType::kBin,
+          EncodeBinPayload(t, truth.binData(static_cast<std::size_t>(t)),
+                           nodes)));
+    }
+    ASSERT_TRUE(sendFrame(FrameType::kFin, EncodeCountPayload(3)));
+    std::size_t estimates = 0;
+    for (;;) {
+      Frame frame;
+      ASSERT_TRUE(readFrame(&frame));
+      if (frame.type == FrameType::kEstimate) {
+        ++estimates;
+        continue;
+      }
+      ASSERT_EQ(frame.type, FrameType::kFinAck);
+      break;
+    }
+    EXPECT_EQ(estimates, 3u);
+  }
 };
 
 class ProtocolServerTest : public ::testing::Test {
@@ -304,27 +330,7 @@ TEST_F(ProtocolServerTest, CrcDamageGetsTypedErrorWithoutHurtingSibling) {
   victim.expectError(ErrorCode::kCrc);
 
   // The sibling still streams fine after the victim's teardown.
-  const std::size_t nodes = 11;
-  const auto truth = test::RandomSeries(nodes, 3, 21);
-  for (std::uint64_t t = 0; t < 3; ++t) {
-    ASSERT_TRUE(sibling.sendFrame(
-        FrameType::kBin,
-        EncodeBinPayload(t, truth.binData(static_cast<std::size_t>(t)),
-                         nodes)));
-  }
-  ASSERT_TRUE(sibling.sendFrame(FrameType::kFin, EncodeCountPayload(3)));
-  std::size_t estimates = 0;
-  for (;;) {
-    Frame frame;
-    ASSERT_TRUE(sibling.readFrame(&frame));
-    if (frame.type == FrameType::kEstimate) {
-      ++estimates;
-      continue;
-    }
-    ASSERT_EQ(frame.type, FrameType::kFinAck);
-    break;
-  }
-  EXPECT_EQ(estimates, 3u);
+  sibling.streamToFinAck();
 }
 
 TEST_F(ProtocolServerTest, OversizeLengthPrefixIsRejected) {
@@ -380,6 +386,18 @@ TEST_F(ProtocolServerTest, RefusalsCarryTheRightCode) {
     hello.f = 1.5;
     ASSERT_TRUE(probe.sendFrame(FrameType::kHello, hello.encode()));
     probe.expectError(ErrorCode::kBadHandshake);
+  }
+  {
+    // Solver byte 2 (formerly sparse) from an old client is refused
+    // without disturbing a healthy sibling session.
+    Probe sibling = Probe::ConnectTo(*server_);
+    sibling.handshake(ValidHello());
+    Probe probe = Probe::ConnectTo(*server_);
+    auto hello = ValidHello();
+    hello.solver = core::SolverKind::kReservedSparse;
+    ASSERT_TRUE(probe.sendFrame(FrameType::kHello, hello.encode()));
+    probe.expectError(ErrorCode::kBadHandshake);
+    sibling.streamToFinAck();
   }
   {
     // This server has no checkpoint store, so resume cannot work.

@@ -281,6 +281,18 @@ TEST(CheckpointStoreFormat, RoundTripRetentionCorruptionAndDrop) {
   EXPECT_FALSE(store.load("other-key", 100).has_value());
   store.drop(checkpoint.sessionKey);
   EXPECT_FALSE(store.load(checkpoint.sessionKey, 100).has_value());
+
+  // A newest checkpoint carrying the reserved solver value (formerly
+  // sparse) fails to decode and falls back like a corrupt file.
+  checkpoint.state.seq = 4;
+  store.save(checkpoint);
+  checkpoint.state.seq = 8;
+  checkpoint.solver = core::SolverKind::kReservedSparse;
+  store.save(checkpoint);
+  const auto beforeReserved = store.load(checkpoint.sessionKey, 100);
+  ASSERT_TRUE(beforeReserved.has_value());
+  EXPECT_EQ(beforeReserved->state.seq, 4u);
+  store.drop(checkpoint.sessionKey);
 }
 
 TEST(StreamingCheckpointContract, ResumedEstimatorIsBitIdentical) {

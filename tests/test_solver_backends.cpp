@@ -1,8 +1,7 @@
 // Tests for the pluggable solver-backend layer (core/solver_backend.hpp):
-// dense/sparse/cg agreement on the tier-1 fixtures, per-backend
-// thread-count bit-identity, streaming == batch equivalence under the
-// non-dense backends, and the linalg building blocks against their
-// dense references.
+// dense/cg agreement on the tier-1 fixtures, per-backend thread-count
+// bit-identity, streaming == batch equivalence per backend, and the
+// PCG building block against its dense reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include "linalg/lsq.hpp"
 #include "linalg/pcg.hpp"
 #include "linalg/sparse.hpp"
-#include "linalg/sparse_chol.hpp"
 #include "scenario/common.hpp"
 #include "stream/online.hpp"
 #include "test_util.hpp"
@@ -84,18 +82,14 @@ struct Fixture {
 TEST(SolverBackendsTest, AgreeOnGeant22) {
   const Fixture fx("geant22", 4, 11);
   const auto dense = fx.Estimate(core::SolverKind::kDense);
-  const auto sparse = fx.Estimate(core::SolverKind::kSparse);
   const auto cg = fx.Estimate(core::SolverKind::kCg);
-  EXPECT_LT(MaxRelDiff(dense, sparse), 1e-8);
   EXPECT_LT(MaxRelDiff(dense, cg), 1e-8);
 }
 
 TEST(SolverBackendsTest, AgreeOnHierarchy50) {
   const Fixture fx("hierarchy:50", 3, 12);
   const auto dense = fx.Estimate(core::SolverKind::kDense);
-  const auto sparse = fx.Estimate(core::SolverKind::kSparse);
   const auto cg = fx.Estimate(core::SolverKind::kCg);
-  EXPECT_LT(MaxRelDiff(dense, sparse), 1e-8);
   EXPECT_LT(MaxRelDiff(dense, cg), 1e-8);
 }
 
@@ -118,8 +112,7 @@ TEST(SolverBackendsTest, AutoMatchesItsResolvedBackendBitForBit) {
 TEST(SolverBackendsTest, ThreadFanoutBitIdenticalPerBackend) {
   const Fixture fx("hierarchy:50", 8, 15);
   for (const core::SolverKind kind :
-       {core::SolverKind::kDense, core::SolverKind::kSparse,
-        core::SolverKind::kCg}) {
+       {core::SolverKind::kDense, core::SolverKind::kCg}) {
     const auto t1 = fx.Estimate(kind, 1);
     const auto t8 = fx.Estimate(kind, 8);
     EXPECT_TRUE(BitIdentical(t1, t8))
@@ -128,16 +121,16 @@ TEST(SolverBackendsTest, ThreadFanoutBitIdenticalPerBackend) {
   }
 }
 
-// ---- streaming == batch under the non-dense backends ---------------
+// ---- streaming == batch under every backend ------------------------
 
-TEST(SolverBackendsTest, StreamingMatchesBatchUnderSparseAndCg) {
+TEST(SolverBackendsTest, StreamingMatchesBatchUnderDenseAndCg) {
   const topology::Graph g = topology::MakeGeant22();
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
   const std::size_t n = g.nodeCount();
   const auto truth = MakeTraffic(n, 12, 16);
 
   for (const core::SolverKind kind :
-       {core::SolverKind::kSparse, core::SolverKind::kCg}) {
+       {core::SolverKind::kDense, core::SolverKind::kCg}) {
     stream::StreamingOptions options;
     options.threads = 4;
     options.queueCapacity = 3;
@@ -168,8 +161,7 @@ TEST(SolverBackendsTest, AutoResolvesByRowCount) {
                               core::kAutoSolverRowThreshold),
             SolverKind::kCg);
   // Concrete kinds pass through regardless of size.
-  EXPECT_EQ(ResolveSolverKind(SolverKind::kSparse, 10),
-            SolverKind::kSparse);
+  EXPECT_EQ(ResolveSolverKind(SolverKind::kCg, 10), SolverKind::kCg);
   EXPECT_EQ(ResolveSolverKind(SolverKind::kDense, 1 << 20),
             SolverKind::kDense);
 }
@@ -181,8 +173,6 @@ TEST(SolverBackendsTest, SolverNameReportsResolvedBackend) {
   core::EstimationOptions options;
   options.solver = core::SolverKind::kAuto;
   EXPECT_STREQ(core::TmBinSolver(sys, options).solverName(), "dense");
-  options.solver = core::SolverKind::kSparse;
-  EXPECT_STREQ(core::TmBinSolver(sys, options).solverName(), "sparse");
   options.solver = core::SolverKind::kCg;
   EXPECT_STREQ(core::TmBinSolver(sys, options).solverName(), "cg");
 }
@@ -190,7 +180,7 @@ TEST(SolverBackendsTest, SolverNameReportsResolvedBackend) {
 TEST(SolverBackendsTest, ParseSolverKindRoundTrips) {
   for (const core::SolverKind kind :
        {core::SolverKind::kAuto, core::SolverKind::kDense,
-        core::SolverKind::kSparse, core::SolverKind::kCg}) {
+        core::SolverKind::kCg}) {
     core::SolverKind parsed = core::SolverKind::kAuto;
     EXPECT_TRUE(
         core::ParseSolverKind(core::SolverKindName(kind), &parsed));
@@ -198,6 +188,7 @@ TEST(SolverBackendsTest, ParseSolverKindRoundTrips) {
   }
   core::SolverKind parsed = core::SolverKind::kAuto;
   EXPECT_FALSE(core::ParseSolverKind("cholesky", &parsed));
+  EXPECT_FALSE(core::ParseSolverKind("sparse", &parsed));  // removed
   EXPECT_FALSE(core::ParseSolverKind("", &parsed));
   EXPECT_FALSE(core::ParseSolverKind("Dense", &parsed));
 }
@@ -247,82 +238,12 @@ TEST(SolverBackendsTest, AllZeroPriorBinIdenticalAcrossBackends) {
   core::EstimationOptions options;
   options.solver = core::SolverKind::kDense;
   const auto dense = core::EstimateSeries(routing, truth, zeros, options);
-  options.solver = core::SolverKind::kSparse;
-  const auto sparse = core::EstimateSeries(routing, truth, zeros, options);
   options.solver = core::SolverKind::kCg;
   const auto cg = core::EstimateSeries(routing, truth, zeros, options);
-  EXPECT_TRUE(BitIdentical(dense, sparse));
   EXPECT_TRUE(BitIdentical(dense, cg));
 }
 
-// ---- linalg building blocks against dense references ---------------
-
-TEST(SparseNormalCholeskyTest, MatchesDenseCholeskyOnRandomSystem) {
-  stats::Rng rng(3);
-  const std::size_t rows = 14, cols = 40;
-  // Sparse random A with a few entries per column (some zero columns).
-  std::vector<linalg::Triplet> entries;
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (c % 7 == 0) continue;
-    const std::size_t k = 1 + static_cast<std::size_t>(
-                                  rng.uniform(0.0, 3.0));
-    for (std::size_t e = 0; e < k; ++e) {
-      const std::size_t r =
-          static_cast<std::size_t>(rng.uniform(0.0, double(rows) - 0.01));
-      entries.push_back({r, c, rng.uniform(0.5, 2.0)});
-    }
-  }
-  const auto a = linalg::CscMatrix::FromTriplets(rows, cols,
-                                                 std::move(entries));
-  std::vector<double> w(cols);
-  for (double& wi : w) wi = rng.uniform(0.0, 5.0);
-  w[3] = 0.0;  // skipped column
-
-  const double relativeRidge = 1e-10;
-  std::vector<double> d(rows);
-  for (double& di : d) di = rng.uniform(-1.0, 1.0);
-
-  // Dense reference: WeightedGramInto + trace ridge + Cholesky.
-  std::vector<double> m(rows * rows, 0.0);
-  linalg::WeightedGramInto(a, w.data(), m.data());
-  double trace = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
-  const double ridge = std::max(trace, 1.0) * relativeRidge + 1e-30;
-  for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
-  std::vector<double> zDense = d;
-  linalg::CholeskySolveInPlace(m.data(), zDense.data(), rows);
-
-  const linalg::SparseNormalAnalysis analysis(a);
-  std::vector<double> scratch(
-      linalg::SparseNormalSolver::RequiredScratch(analysis), 0.0);
-  linalg::SparseNormalSolver solver(analysis, scratch.data());
-  std::vector<double> zSparse = d;
-  solver.Factor(w.data(), relativeRidge);
-  solver.Solve(zSparse.data());
-
-  for (std::size_t r = 0; r < rows; ++r) {
-    EXPECT_NEAR(zSparse[r], zDense[r],
-                1e-9 * std::max(std::fabs(zDense[r]), 1.0));
-  }
-
-  // Refactoring with different weights against the same analysis must
-  // keep working (the per-bin reuse path).
-  for (double& wi : w) wi = rng.uniform(0.1, 2.0);
-  linalg::WeightedGramInto(a, w.data(), m.data());
-  trace = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
-  const double ridge2 = std::max(trace, 1.0) * relativeRidge + 1e-30;
-  for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge2;
-  zDense = d;
-  linalg::CholeskySolveInPlace(m.data(), zDense.data(), rows);
-  zSparse = d;
-  solver.Factor(w.data(), relativeRidge);
-  solver.Solve(zSparse.data());
-  for (std::size_t r = 0; r < rows; ++r) {
-    EXPECT_NEAR(zSparse[r], zDense[r],
-                1e-9 * std::max(std::fabs(zDense[r]), 1.0));
-  }
-}
+// ---- PCG against the dense reference -------------------------------
 
 TEST(NormalPcgTest, MatchesDenseSolveOnRoutingSystem) {
   const topology::Graph g = topology::MakeRing(8, 2);

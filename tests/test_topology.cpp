@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "topology/graph.hpp"
+#include "topology/registry.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 #include "test_util.hpp"
@@ -130,23 +131,28 @@ TEST(RoutingMatrix, EcmpSplitsEvenly) {
 TEST(RoutingMatrix, FlowConservationOnRandomTm) {
   // Per OD pair, the flow leaving the origin equals 1 and the flow
   // arriving at the destination equals 1 (fractions sum correctly).
-  const Graph g = MakeRing(8, 2);
-  const linalg::Matrix r = BuildRoutingMatrix(g);
-  const std::size_t n = g.nodeCount();
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::size_t col = s * n + d;
-      double outOfSource = 0.0, intoDest = 0.0;
-      for (std::size_t l = 0; l < g.linkCount(); ++l) {
-        if (r(l, col) == 0.0) continue;
-        if (g.link(l).src == s) outOfSource += r(l, col);
-        if (g.link(l).dst == d) intoDest += r(l, col);
-        EXPECT_GE(r(l, col), 0.0);
-        EXPECT_LE(r(l, col), 1.0 + 1e-9);
+  // The generated graphs add equal-cost ties at many distances.
+  for (const Graph& g : {MakeRing(8, 2), MakeTopology("hierarchy:50", 0),
+                         MakeTopology("waxman:30", 0)}) {
+    const linalg::Matrix r = BuildRoutingMatrix(g);
+    const std::size_t n = g.nodeCount();
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) {
+        if (s == d) continue;
+        const std::size_t col = s * n + d;
+        double outOfSource = 0.0, intoDest = 0.0;
+        for (std::size_t l = 0; l < g.linkCount(); ++l) {
+          if (r(l, col) == 0.0) continue;
+          if (g.link(l).src == s) outOfSource += r(l, col);
+          if (g.link(l).dst == d) intoDest += r(l, col);
+          EXPECT_GE(r(l, col), 0.0);
+          EXPECT_LE(r(l, col), 1.0 + 1e-9);
+        }
+        EXPECT_NEAR(outOfSource, 1.0, 1e-9)
+            << n << " nodes, od " << s << "->" << d;
+        EXPECT_NEAR(intoDest, 1.0, 1e-9)
+            << n << " nodes, od " << s << "->" << d;
       }
-      EXPECT_NEAR(outOfSource, 1.0, 1e-9) << "od " << s << "->" << d;
-      EXPECT_NEAR(intoDest, 1.0, 1e-9) << "od " << s << "->" << d;
     }
   }
 }

@@ -47,11 +47,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <csignal>
@@ -96,28 +98,15 @@ class UsageError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-// Shared --trace-out/--metrics-out handling for the estimation
-// subcommands (estimate, stream, run, serve).  begin() opens the
-// trace session before the work; finish() closes it and dumps the
-// metrics registry as ictm-metrics-v1 JSON.  Neither artifact ever
-// changes estimation output bytes (docs/ARCHITECTURE.md,
-// "Observability").
+// Shared --trace-out/--metrics-out outputs of the estimation
+// subcommands (estimate, stream, run, serve); the flags that fill them
+// are TraceOutFlag and MetricsOutFlag below.  begin() opens the trace
+// session before the work; finish() closes it and dumps the metrics
+// registry as ictm-metrics-v1 JSON.  Neither artifact ever changes
+// estimation output bytes (docs/ARCHITECTURE.md, "Observability").
 struct ObsOutputs {
   std::string tracePath;
   std::string metricsPath;
-
-  /// Consumes one of the shared flags; false if `arg` is not ours.
-  bool parseFlag(const std::string& arg, int argc, char** argv, int* i) {
-    if (arg == "--trace-out" && *i + 1 < argc) {
-      tracePath = argv[++*i];
-      return true;
-    }
-    if (arg == "--metrics-out" && *i + 1 < argc) {
-      metricsPath = argv[++*i];
-      return true;
-    }
-    return false;
-  }
 
   void begin() const {
     if (tracePath.empty()) return;
@@ -156,7 +145,7 @@ int Usage() {
                "              title, expectation) for tooling\n"
                "  ictm run <scenario...|all> [--threads N] [--out DIR]\n"
                "           [--seed S] [--tiny] [--topology SPEC]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver dense|cg|auto]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      run scenarios; deterministic JSON per scenario\n"
                "      (bit-identical for every --threads value) goes to\n"
@@ -178,7 +167,7 @@ int Usage() {
                "  ictm prior <tm.csv> <f>\n"
                "  ictm fmeasure [durationSec] [connPerSec] [seed]\n"
                "  ictm estimate <tm.csv> [topology] [threads] [seed]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver dense|cg|auto]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      topology: auto (default) picks a canned topology\n"
                "                by node count; otherwise any registry\n"
@@ -194,7 +183,7 @@ int Usage() {
                "  ictm stream <trace.ictmb|tm.csv> [--topology T]\n"
                "           [--seed S] [--threads N] [--window W]\n"
                "           [--queue C] [--f F] [--out DIR]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver dense|cg|auto]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      online estimation through the streaming subsystem\n"
                "      (bounded queue + worker pool + reorder buffer);\n"
@@ -249,7 +238,7 @@ int Usage() {
                "  ictm client <trace.ictmb|tm.csv> --connect SPEC\n"
                "           [--topology T] [--seed S] [--threads N]\n"
                "           [--window W] [--queue C] [--f F]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver dense|cg|auto]\n"
                "           [--session KEY] [--resume] [--have N]\n"
                "           [--out DIR] [--codec C]\n"
                "      stream a trace through a running server; same\n"
@@ -333,22 +322,121 @@ double ParseDouble(const char* arg, const char* what) {
   return v;
 }
 
-core::SolverKind ParseSolver(const char* arg) {
-  core::SolverKind kind;
-  if (!core::ParseSolverKind(arg, &kind)) {
-    throw UsageError(std::string("unknown solver: ") + arg +
-                     " (expected dense|sparse|cg|auto)");
-  }
-  return kind;
+std::uint64_t ParseSeed(const char* arg) {
+  return ParseSize(arg, "seed", 0, std::numeric_limits<long>::max());
 }
 
-stream::ChunkCodec ParseCodec(const char* arg) {
-  stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
-  if (!stream::ParseChunkCodec(arg, &codec)) {
-    throw UsageError(std::string("unknown codec: ") + arg +
-                     " (expected raw|shuffle-lz|delta)");
+// One entry of a subcommand's flag table.  A value flag hands the next
+// token to `apply`, which throws UsageError on a bad value; a switch
+// takes no value and `apply` gets nullptr.
+struct Flag {
+  const char* name;
+  bool takesValue;
+  std::function<void(const char*)> apply;
+};
+
+// The one argv loop: applies `table` to argv[first..argc) and returns
+// the positionals in order.  A token is a flag when it starts with '-'
+// and a non-digit, so "-5" reaches the subcommand as a (rejectable)
+// positional number.  Unknown flags and value flags missing their
+// value are usage errors.
+std::vector<std::string> ParseFlags(int argc, char** argv, int first,
+                                    const std::vector<Flag>& table) {
+  std::vector<std::string> positional;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-' ||
+        std::isdigit(static_cast<unsigned char>(arg[1]))) {
+      positional.push_back(arg);
+      continue;
+    }
+    const auto flag =
+        std::find_if(table.begin(), table.end(),
+                     [&arg](const Flag& f) { return arg == f.name; });
+    if (flag == table.end()) throw UsageError("unknown flag: " + arg);
+    if (!flag->takesValue) {
+      flag->apply(nullptr);
+    } else if (i + 1 < argc) {
+      flag->apply(argv[++i]);
+    } else {
+      throw UsageError(arg + " needs a value");
+    }
   }
-  return codec;
+  return positional;
+}
+
+Flag SwitchFlag(const char* name, bool* on) {
+  return {name, false, [on](const char*) { *on = true; }};
+}
+
+Flag TextFlag(const char* name, std::string* target) {
+  return {name, true, [target](const char* v) { *target = v; }};
+}
+
+// An integer flag in [min, max]; the error names it without the "--".
+template <typename T>
+Flag IntFlag(const char* name, T* target, long min, long max) {
+  return {name, true, [=](const char* v) {
+            *target = static_cast<T>(ParseSize(v, name + 2, min, max));
+          }};
+}
+
+// The flags several subcommands share, one definition each.
+Flag ThreadsFlag(std::size_t* threads) {
+  return {"--threads", true,
+          [threads](const char* v) { *threads = ParseThreads(v); }};
+}
+
+Flag SeedFlag(std::uint64_t* seed) {
+  return {"--seed", true, [seed](const char* v) { *seed = ParseSeed(v); }};
+}
+
+Flag SolverFlag(core::SolverKind* kind) {
+  return {"--solver", true, [kind](const char* v) {
+            if (!core::ParseSolverKind(v, kind)) {
+              throw UsageError(std::string("unknown solver: ") + v +
+                               " (expected dense|cg|auto)");
+            }
+          }};
+}
+
+Flag CodecFlag(stream::ChunkCodec* codec) {
+  return {"--codec", true, [codec](const char* v) {
+            if (!stream::ParseChunkCodec(v, codec)) {
+              throw UsageError(std::string("unknown codec: ") + v +
+                               " (expected raw|shuffle-lz|delta)");
+            }
+          }};
+}
+
+Flag ChunkFlag(std::size_t* binsPerChunk) {
+  return IntFlag("--chunk", binsPerChunk, 1, 1 << 20);
+}
+
+template <typename T>
+Flag WindowFlag(T* window) {
+  return IntFlag("--window", window, 0, 1 << 20);
+}
+
+template <typename T>
+Flag QueueFlag(T* capacity) {
+  return IntFlag("--queue", capacity, 1, 1 << 20);
+}
+
+Flag FFlag(double* f) {
+  return {"--f", true, [f](const char* v) { *f = ParseDouble(v, "f"); }};
+}
+
+Flag OutFlag(std::string* path) { return TextFlag("--out", path); }
+
+Flag TopologyFlag(std::string* spec) { return TextFlag("--topology", spec); }
+
+Flag TraceOutFlag(ObsOutputs* obsOut) {
+  return TextFlag("--trace-out", &obsOut->tracePath);
+}
+
+Flag MetricsOutFlag(ObsOutputs* obsOut) {
+  return TextFlag("--metrics-out", &obsOut->metricsPath);
 }
 
 // Per-codec compression statistics from the metrics registry
@@ -394,13 +482,8 @@ void PrintCodecStats() {
 
 int CmdList(int argc, char** argv) {
   bool asJson = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      asJson = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return Usage();
-    }
+  if (!ParseFlags(argc, argv, 2, {SwitchFlag("--json", &asJson)}).empty()) {
+    return Usage();
   }
   const auto& scenarios = scenario::ListScenarios();
   if (asJson) {
@@ -437,40 +520,26 @@ int CmdRun(int argc, char** argv) {
   std::vector<std::string> names;
   std::string outDir;
   bool runAll = false;
+  core::SolverKind solver = core::SolverKind::kAuto;
   ObsOutputs obsOut;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      ctx.tiny = true;
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
-    } else if (arg == "--threads" && i + 1 < argc) {
-      ctx.threads = ParseThreads(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      ctx.seedOffset = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--topology" && i + 1 < argc) {
-      ctx.topology = argv[++i];
-    } else if (arg == "--solver" && i + 1 < argc) {
-      ParseSolver(argv[i + 1]);  // validate before any scenario runs
-      ctx.solver = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      outDir = argv[++i];
-    } else if (arg == "all") {
+  for (const std::string& arg :
+       ParseFlags(argc, argv, 2,
+                  {SwitchFlag("--tiny", &ctx.tiny), ThreadsFlag(&ctx.threads),
+                   SeedFlag(&ctx.seedOffset), TopologyFlag(&ctx.topology),
+                   SolverFlag(&solver), OutFlag(&outDir),
+                   TraceOutFlag(&obsOut), MetricsOutFlag(&obsOut)})) {
+    if (arg == "all") {
       runAll = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
+    } else if (!scenario::HasScenario(arg)) {
+      std::fprintf(stderr, "unknown scenario: %s (see `ictm list`)\n",
+                   arg.c_str());
+      return 2;
     } else {
-      if (!scenario::HasScenario(arg)) {
-        std::fprintf(stderr,
-                     "unknown scenario: %s (see `ictm list`)\n",
-                     arg.c_str());
-        return 2;
-      }
       names.push_back(arg);
     }
   }
+  ctx.solver = core::SolverKindName(solver);  // "auto" is the default
   if (runAll) {
     names.clear();
     names.reserve(scenario::ListScenarios().size());
@@ -555,25 +624,24 @@ void PrintAccuracy(const char* estName, const std::vector<double>& errEst,
   std::printf("worse on %zu of %zu bin(s))\n", worse, bins);
 }
 
-double ArgOr(int argc, char** argv, int idx, double fallback) {
-  return argc > idx ? std::stod(argv[idx]) : fallback;
-}
-
 int CmdSynthesize(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  const auto pos = ParseFlags(argc, argv, 2, {});
+  if (pos.empty() || pos.size() > 5) return Usage();
   core::SynthesisConfig cfg;
-  cfg.nodes = static_cast<std::size_t>(ArgOr(argc, argv, 3, 22));
-  cfg.bins = static_cast<std::size_t>(ArgOr(argc, argv, 4, 2016));
-  cfg.f = ArgOr(argc, argv, 5, 0.25);
+  cfg.nodes = pos.size() > 1 ? ParseSize(pos[1].c_str(), "nodes", 1, 4096)
+                             : 22;
+  cfg.bins = pos.size() > 2
+                 ? ParseSize(pos[2].c_str(), "bins", 1, 1 << 20)
+                 : 2016;
+  cfg.f = pos.size() > 3 ? ParseDouble(pos[3].c_str(), "f") : 0.25;
+  stats::Rng rng(pos.size() > 4 ? ParseSeed(pos[4].c_str()) : 42);
   cfg.activityModel.profile.binsPerDay = std::max<std::size_t>(
       1, cfg.bins >= 7 ? cfg.bins / 7 : cfg.bins);
   cfg.threads = 0;  // all cores; output is thread-count invariant
-  stats::Rng rng(
-      static_cast<std::uint64_t>(ArgOr(argc, argv, 6, 42)));
   const core::SyntheticTm synth = core::GenerateSyntheticTm(cfg, rng);
-  traffic::WriteCsvFile(argv[2], synth.series);
+  traffic::WriteCsvFile(pos[0], synth.series);
   std::printf("wrote %zu bins x %zu nodes to %s (f=%.3f)\n", cfg.bins,
-              cfg.nodes, argv[2], cfg.f);
+              cfg.nodes, pos[0].c_str(), cfg.f);
   std::printf("preference:");
   for (double p : synth.preference) std::printf(" %.4f", p);
   std::printf("\n");
@@ -581,8 +649,9 @@ int CmdSynthesize(int argc, char** argv) {
 }
 
 int CmdFit(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const auto series = traffic::ReadCsvFile(argv[2]);
+  const auto pos = ParseFlags(argc, argv, 2, {});
+  if (pos.size() != 1) return Usage();
+  const auto series = traffic::ReadCsvFile(pos[0]);
   std::printf("loaded %zu nodes x %zu bins\n", series.nodeCount(),
               series.binCount());
   const core::StableFPFit fit = core::FitStableFP(series);
@@ -603,8 +672,9 @@ int CmdFit(int argc, char** argv) {
 }
 
 int CmdGravity(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const auto series = traffic::ReadCsvFile(argv[2]);
+  const auto pos = ParseFlags(argc, argv, 2, {});
+  if (pos.size() != 1) return Usage();
+  const auto series = traffic::ReadCsvFile(pos[0]);
   const auto grav = core::GravityPredictSeries(series);
   const auto err = core::RelL2TemporalSeries(series, grav);
   std::printf("gravity mean RelL2 over %zu bins: %.4f\n",
@@ -613,9 +683,10 @@ int CmdGravity(int argc, char** argv) {
 }
 
 int CmdPrior(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const auto series = traffic::ReadCsvFile(argv[2]);
-  const double f = std::stod(argv[3]);
+  const auto pos = ParseFlags(argc, argv, 2, {});
+  if (pos.size() != 2) return Usage();
+  const double f = ParseDouble(pos[1].c_str(), "f");
+  const auto series = traffic::ReadCsvFile(pos[0]);
   const auto margs = core::ExtractMarginals(series);
   const auto prior = core::StableFPrior(f, margs, series.binSeconds());
   const auto err = core::RelL2TemporalSeries(series, prior);
@@ -646,41 +717,25 @@ topology::Graph TopologyByName(const std::string& name, std::size_t nodes,
 
 int CmdEstimate(int argc, char** argv) {
   core::EstimationOptions options;
-  std::vector<std::string> positional;
   ObsOutputs obsOut;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--solver" && i + 1 < argc) {
-      options.solver = ParseSolver(argv[++i]);
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
-    } else if (!arg.empty() && arg[0] == '-' && arg.size() > 1 &&
-               !std::isdigit(static_cast<unsigned char>(arg[1]))) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.empty()) return Usage();
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {SolverFlag(&options.solver), TraceOutFlag(&obsOut),
+       MetricsOutFlag(&obsOut)});
+  if (pos.empty() || pos.size() > 4) return Usage();
+  const std::string topoName = pos.size() > 1 ? pos[1] : "auto";
+  options.threads = pos.size() > 2 ? ParseThreads(pos[2].c_str()) : 0;
+  const std::uint64_t topoSeed =
+      pos.size() > 3 ? ParseSeed(pos[3].c_str()) : 0;
   obsOut.begin();
 
-  const auto truth = traffic::ReadCsvFile(positional[0]);
-  const std::string topoName =
-      positional.size() > 1 ? positional[1] : "auto";
-  const std::uint64_t topoSeed =
-      positional.size() > 3
-          ? static_cast<std::uint64_t>(
-                ParseSize(positional[3].c_str(), "seed", 0,
-                          std::numeric_limits<long>::max()))
-          : 0;
+  const auto truth = traffic::ReadCsvFile(pos[0]);
   const topology::Graph g =
       TopologyByName(topoName, truth.nodeCount(), topoSeed);
   ICTM_REQUIRE(g.nodeCount() == truth.nodeCount(),
                "topology node count does not match the TM series");
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
 
-  options.threads =
-      positional.size() > 2 ? ParseThreads(positional[2].c_str()) : 0;
   const std::size_t workers = std::min(
       ictm::ResolveThreadCount(options.threads), truth.binCount());
   std::printf("loaded %zu nodes x %zu bins; topology %s (%zu links), "
@@ -709,8 +764,6 @@ int CmdEstimate(int argc, char** argv) {
 }
 
 int CmdStream(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string inPath = argv[2];
   std::string topoName = "auto";
   std::string outDir;
   std::uint64_t topoSeed = 0;
@@ -718,34 +771,15 @@ int CmdStream(int argc, char** argv) {
   options.threads = 0;  // saturate by default
   stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
   ObsOutputs obsOut;
-
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--topology" && i + 1 < argc) {
-      topoName = argv[++i];
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
-    } else if (arg == "--seed" && i + 1 < argc) {
-      topoSeed = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = ParseThreads(argv[++i]);
-    } else if (arg == "--window" && i + 1 < argc) {
-      options.window = ParseSize(argv[++i], "window", 0, 1 << 20);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      options.queueCapacity = ParseSize(argv[++i], "queue", 1, 1 << 20);
-    } else if (arg == "--f" && i + 1 < argc) {
-      options.f = ParseDouble(argv[++i], "f");
-    } else if (arg == "--solver" && i + 1 < argc) {
-      options.estimation.solver = ParseSolver(argv[++i]);
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = ParseCodec(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      outDir = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {TopologyFlag(&topoName), SeedFlag(&topoSeed),
+       ThreadsFlag(&options.threads), WindowFlag(&options.window),
+       QueueFlag(&options.queueCapacity), FFlag(&options.f),
+       SolverFlag(&options.estimation.solver), CodecFlag(&codec),
+       OutFlag(&outDir), TraceOutFlag(&obsOut), MetricsOutFlag(&obsOut)});
+  if (pos.size() != 1) return Usage();
+  const std::string& inPath = pos[0];
 
   obsOut.begin();
 
@@ -887,33 +921,18 @@ int CmdServe(int argc, char** argv) {
   server::ServerOptions options;
   ObsOutputs obsOut;
   std::size_t statsIntervalSec = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--listen" && i + 1 < argc) {
-      listenSpec = argv[++i];
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
-    } else if (arg == "--stats-interval" && i + 1 < argc) {
-      statsIntervalSec =
-          ParseSize(argv[++i], "stats-interval", 1, 86400);
-    } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
-      options.checkpointDir = argv[++i];
-    } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      options.limits.checkpointEvery =
-          ParseSize(argv[++i], "checkpoint-every", 1, 1 << 20);
-    } else if (arg == "--cache" && i + 1 < argc) {
-      options.cacheCapacity = ParseSize(argv[++i], "cache", 1, 1 << 10);
-    } else if (arg == "--max-threads" && i + 1 < argc) {
-      options.limits.maxThreads =
-          ParseSize(argv[++i], "max-threads", 1, 4096);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      options.limits.outputQueueCapacity =
-          ParseSize(argv[++i], "queue", 1, 1 << 20);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
-  if (listenSpec.empty()) return Usage();
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {TextFlag("--listen", &listenSpec),
+       IntFlag("--stats-interval", &statsIntervalSec, 1, 86400),
+       TextFlag("--checkpoint-dir", &options.checkpointDir),
+       IntFlag("--checkpoint-every", &options.limits.checkpointEvery, 1,
+               1 << 20),
+       IntFlag("--cache", &options.cacheCapacity, 1, 1 << 10),
+       IntFlag("--max-threads", &options.limits.maxThreads, 1, 4096),
+       QueueFlag(&options.limits.outputQueueCapacity), TraceOutFlag(&obsOut),
+       MetricsOutFlag(&obsOut)});
+  if (!pos.empty() || listenSpec.empty()) return Usage();
   if (!server::Endpoint::Parse(listenSpec, &options.listen)) {
     throw UsageError("bad --listen spec (unix:/path or tcp:host:port): " +
                      listenSpec);
@@ -1025,17 +1044,11 @@ std::string TopologySpecByNodes(const std::string& name, std::size_t nodes) {
 // as "name value" lines (name-sorted, so output is diffable).
 int CmdClientStats(int argc, char** argv) {
   std::string connectSpec;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stats") continue;
-    if (arg == "--connect" && i + 1 < argc) {
-      connectSpec = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag with --stats: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
-  if (connectSpec.empty()) return Usage();
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {{"--stats", false, [](const char*) {}},  // CmdClient dispatched on it
+       TextFlag("--connect", &connectSpec)});
+  if (!pos.empty() || connectSpec.empty()) return Usage();
   server::Endpoint endpoint;
   if (!server::Endpoint::Parse(connectSpec, &endpoint)) {
     throw UsageError("bad --connect spec (unix:/path or tcp:host:port): " +
@@ -1055,56 +1068,30 @@ int CmdClientStats(int argc, char** argv) {
 }
 
 int CmdClient(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stats") == 0) {
-      return CmdClientStats(argc, argv);
-    }
+  if (std::find(argv + 2, argv + argc, std::string_view("--stats")) !=
+      argv + argc) {
+    return CmdClientStats(argc, argv);
   }
-  const std::string inPath = argv[2];
   std::string connectSpec;
   std::string topoName = "auto";
   std::string outDir;
   server::ClientConfig config;
   std::size_t threadsOpt = 0;
   stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--connect" && i + 1 < argc) {
-      connectSpec = argv[++i];
-    } else if (arg == "--topology" && i + 1 < argc) {
-      topoName = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      config.hello.topologySeed = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threadsOpt = ParseThreads(argv[++i]);
-    } else if (arg == "--window" && i + 1 < argc) {
-      config.hello.window = ParseSize(argv[++i], "window", 0, 1 << 20);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      config.hello.queueCapacity = static_cast<std::uint32_t>(
-          ParseSize(argv[++i], "queue", 1, 1 << 20));
-    } else if (arg == "--f" && i + 1 < argc) {
-      config.hello.f = ParseDouble(argv[++i], "f");
-    } else if (arg == "--solver" && i + 1 < argc) {
-      config.hello.solver = ParseSolver(argv[++i]);
-    } else if (arg == "--session" && i + 1 < argc) {
-      config.hello.sessionKey = argv[++i];
-    } else if (arg == "--resume") {
-      config.hello.resume = true;
-    } else if (arg == "--have" && i + 1 < argc) {
-      config.hello.clientFrames = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "have", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = ParseCodec(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      outDir = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
-  if (connectSpec.empty()) return Usage();
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {TextFlag("--connect", &connectSpec), TopologyFlag(&topoName),
+       SeedFlag(&config.hello.topologySeed), ThreadsFlag(&threadsOpt),
+       WindowFlag(&config.hello.window),
+       QueueFlag(&config.hello.queueCapacity), FFlag(&config.hello.f),
+       SolverFlag(&config.hello.solver),
+       TextFlag("--session", &config.hello.sessionKey),
+       SwitchFlag("--resume", &config.hello.resume),
+       IntFlag("--have", &config.hello.clientFrames, 0,
+               std::numeric_limits<long>::max()),
+       CodecFlag(&codec), OutFlag(&outDir)});
+  if (pos.size() != 1 || connectSpec.empty()) return Usage();
+  const std::string& inPath = pos[0];
   if (!server::Endpoint::Parse(connectSpec, &config.endpoint)) {
     throw UsageError("bad --connect spec (unix:/path or tcp:host:port): " +
                      connectSpec);
@@ -1197,22 +1184,13 @@ int CmdClient(int argc, char** argv) {
 }
 
 int CmdConvert(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const std::string inPath = argv[2];
-  const std::string outPath = argv[3];
   std::size_t binsPerChunk = 64;
   stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--chunk" && i + 1 < argc) {
-      binsPerChunk = ParseSize(argv[++i], "chunk", 1, 1 << 20);
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = ParseCodec(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
+  const auto pos = ParseFlags(argc, argv, 2,
+                              {ChunkFlag(&binsPerChunk), CodecFlag(&codec)});
+  if (pos.size() != 2) return Usage();
+  const std::string& inPath = pos[0];
+  const std::string& outPath = pos[1];
   if (stream::IsTraceFile(inPath)) {
     // ictmb -> CSV: the output is text, so --codec has no effect.
     stream::ConvertTraceToCsv(inPath, outPath);
@@ -1230,26 +1208,17 @@ int CmdConvert(int argc, char** argv) {
 }
 
 int CmdRepack(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const std::string inPath = argv[2];
-  const std::string outPath = argv[3];
   stream::TraceWriterOptions options;
   options.binsPerChunk = 0;  // keep the input's chunking
   options.codec = stream::ChunkCodec::kDelta;
   options.compressThreads = 0;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--codec" && i + 1 < argc) {
-      options.codec = ParseCodec(argv[++i]);
-    } else if (arg == "--chunk" && i + 1 < argc) {
-      options.binsPerChunk = ParseSize(argv[++i], "chunk", 1, 1 << 20);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.compressThreads = ParseThreads(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
-  }
+  const auto pos = ParseFlags(
+      argc, argv, 2,
+      {CodecFlag(&options.codec), ChunkFlag(&options.binsPerChunk),
+       ThreadsFlag(&options.compressThreads)});
+  if (pos.size() != 2) return Usage();
+  const std::string& inPath = pos[0];
+  const std::string& outPath = pos[1];
 
   const auto start = scenario::StartTimer();
   const stream::RepackResult result =
@@ -1270,28 +1239,16 @@ int CmdRepack(int argc, char** argv) {
 }
 
 int CmdTopo(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string sub = argv[2];
   bool asJson = false;
   std::uint64_t seed = 0;
   std::string outPath;
-  std::vector<std::string> positional;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      asJson = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(
-          ParseSize(argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--out" && i + 1 < argc) {
-      outPath = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    } else {
-      positional.push_back(arg);
-    }
-  }
+  std::vector<std::string> positional =
+      ParseFlags(argc, argv, 2,
+                 {SwitchFlag("--json", &asJson), SeedFlag(&seed),
+                  OutFlag(&outPath)});
+  if (positional.empty()) return Usage();
+  const std::string sub = positional.front();
+  positional.erase(positional.begin());
 
   if (sub == "list") {
     const auto& entries = topology::ListTopologies();
@@ -1407,10 +1364,14 @@ int CmdTopo(int argc, char** argv) {
 }
 
 int CmdFMeasure(int argc, char** argv) {
+  const auto pos = ParseFlags(argc, argv, 2, {});
+  if (pos.size() > 3) return Usage();
   conngen::TraceSimConfig cfg;
-  cfg.durationSec = ArgOr(argc, argv, 2, 3600.0);
-  cfg.connectionsPerSec = ArgOr(argc, argv, 3, 10.0);
-  stats::Rng rng(static_cast<std::uint64_t>(ArgOr(argc, argv, 4, 1)));
+  cfg.durationSec =
+      pos.size() > 0 ? ParseDouble(pos[0].c_str(), "durationSec") : 3600.0;
+  cfg.connectionsPerSec =
+      pos.size() > 1 ? ParseDouble(pos[1].c_str(), "connPerSec") : 10.0;
+  stats::Rng rng(pos.size() > 2 ? ParseSeed(pos[2].c_str()) : 1);
   const auto trace = conngen::SimulatePacketTraces(cfg, rng);
   const auto m = conngen::MeasureForwardFraction(trace);
   std::printf("trace: %.0f s, %zu + %zu packets, unknown bytes %.2f%%\n",

@@ -92,11 +92,20 @@ expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --threads
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --frobnicate
 
 # Every valid solver value is accepted on each surface.
-for solver in auto dense sparse cg; do
+for solver in auto dense cg; do
   expect_ok estimate "$WORK/tm.csv" ring:6:2 1 0 --solver "$solver"
   expect_ok stream "$WORK/tm.csv" --threads 1 --solver "$solver"
 done
-expect_ok run fig2_example --solver sparse --tiny
+expect_usage_error estimate "$WORK/tm.csv" ring:6:2 1 0 --solver sparse
+expect_usage_error stream "$WORK/tm.csv" --threads 1 --solver sparse
+expect_usage_error run fig2_example --solver sparse --tiny
+expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --solver sparse
+
+# Positional numbers are checked like option values: exit 2.
+expect_usage_error synthesize "$WORK/bad.csv" abc
+expect_usage_error synthesize "$WORK/bad.csv" 6 3 0.25 -1
+expect_usage_error prior "$WORK/tm.csv" xyz
+expect_usage_error fmeasure abc
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI usage check(s) failed"
